@@ -375,24 +375,6 @@ impl HnswIndex {
         self.params
     }
 
-    /// Append-only incremental update ([`crate::AnnIndex::refresh`]
-    /// contract): an overwritten row would invalidate graph edges chosen
-    /// against the old vector, so any `changed` entry declines the update
-    /// and forces a rebuild. With nothing changed, rows past the current
-    /// length are inserted through [`HnswIndex::add_batch`] — bitwise the
-    /// graph a persistent index would have grown, because the level rng
-    /// advances one draw per insert from wherever the build left it.
-    pub fn refresh(&mut self, data: &[f32], changed: &[u32]) -> bool {
-        if !changed.is_empty() {
-            return false;
-        }
-        crate::metric::assert_packed(data.len(), self.dim);
-        let n_old = self.len();
-        assert!(data.len() / self.dim >= n_old, "refresh cannot shrink an index");
-        self.add_batch(&data[n_old * self.dim..]);
-        true
-    }
-
     /// Serialize the full built state: parameters, the layered adjacency
     /// lists, per-node levels and norms, the entry point, and the rows.
     /// The level rng is not stored — it is a pure function of

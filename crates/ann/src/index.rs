@@ -56,20 +56,16 @@ pub trait AnnIndex: Send + Sync {
     /// Incrementally bring the index in line with `data`, the **full new
     /// packed row set** (at least [`AnnIndex::len`] rows — an index never
     /// shrinks in place). `changed` lists the ids (`< len()`) whose rows
-    /// differ from what the index stores; rows past `len()` are appended
-    /// through the family's `add_batch` path.
+    /// differ from what the index stores; rows past `len()` are appended.
     ///
-    /// Returns `true` when the update was applied in place. The default
+    /// Returns `true` when the update was applied in place, and only
+    /// families for which that is **bitwise a rebuild** over `data`
+    /// implement it: Flat, and Sharded over flat children. The default
     /// returns `false` — "this family cannot update in place" — and the
-    /// caller must rebuild from scratch; after a `false` return the index
-    /// may be **partially updated** (composite families refresh child by
-    /// child) and must be discarded. Exact families (Flat, and Sharded
-    /// over exact children) refresh bitwise-identically to a rebuild;
-    /// IVF re-assigns changed rows against its stale trained quantizer
-    /// (same contract as its `add_batch`); PQ and HNSW accept only
-    /// *append-only* updates (`changed` empty) — a row overwrite would
-    /// silently invalidate trained codebooks / graph edges, so any
-    /// changed id declines the update.
+    /// caller must rebuild from scratch. Trained families (IVF, PQ,
+    /// HNSW) keep the default: an overwrite or append against a
+    /// quantizer, codebooks or graph trained on the old rows is not what
+    /// a fresh build over `data` would produce.
     fn refresh(&mut self, data: &[f32], changed: &[u32]) -> bool {
         let _ = (data, changed);
         false
@@ -125,16 +121,6 @@ pub trait AnnIndex: Send + Sync {
     fn set_ef_search(&mut self, ef: usize) -> bool {
         let _ = ef;
         false
-    }
-
-    /// Monotone counter of trained-structure replacements: bumped every
-    /// time the index retrains its coarse structure in place (e.g. the
-    /// IVF growth-triggered quantizer retrain). Composites report the
-    /// sum over children. A change in this value tells callers that any
-    /// recall measured against the old structure is stale — even when
-    /// parameters like `nlist` came out identical.
-    fn train_generation(&self) -> u64 {
-        0
     }
 
     /// Top-`k` nearest neighbours of one query.
@@ -210,12 +196,6 @@ impl AnnIndex for IvfFlatIndex {
     fn add_batch(&mut self, flat: &[f32]) {
         IvfFlatIndex::add_batch(self, flat)
     }
-    fn refresh(&mut self, data: &[f32], changed: &[u32]) -> bool {
-        IvfFlatIndex::refresh(self, data, changed)
-    }
-    fn can_refresh(&self) -> bool {
-        true
-    }
     fn nprobe_knob(&self) -> Option<(usize, usize)> {
         let p = self.params();
         Some((p.nlist, p.nprobe))
@@ -223,9 +203,6 @@ impl AnnIndex for IvfFlatIndex {
     fn set_nprobe(&mut self, nprobe: usize) -> bool {
         IvfFlatIndex::set_nprobe(self, nprobe);
         true
-    }
-    fn train_generation(&self) -> u64 {
-        IvfFlatIndex::train_generation(self)
     }
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         IvfFlatIndex::search(self, query, k)
@@ -251,12 +228,6 @@ impl AnnIndex for PqIndex {
     fn add_batch(&mut self, flat: &[f32]) {
         PqIndex::add_batch(self, flat)
     }
-    // Append-only refresh; `can_refresh` stays `false` so composites
-    // still decline ahead of any mutation (their refresh may route
-    // overwrites to this family, which cannot honour them).
-    fn refresh(&mut self, data: &[f32], changed: &[u32]) -> bool {
-        PqIndex::refresh(self, data, changed)
-    }
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         PqIndex::search(self, query, k)
     }
@@ -280,10 +251,6 @@ impl AnnIndex for HnswIndex {
     }
     fn add_batch(&mut self, flat: &[f32]) {
         HnswIndex::add_batch(self, flat)
-    }
-    // Append-only refresh; `can_refresh` stays `false` (see the PQ impl).
-    fn refresh(&mut self, data: &[f32], changed: &[u32]) -> bool {
-        HnswIndex::refresh(self, data, changed)
     }
     fn ef_search_knob(&self) -> Option<(usize, usize)> {
         Some(HnswIndex::ef_search_knob(self))

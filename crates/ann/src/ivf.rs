@@ -60,10 +60,6 @@ pub struct IvfFlatIndex {
     /// Per-row kernel norms ([`kernels::metric_norms`] convention),
     /// maintained through [`IvfFlatIndex::add_batch`].
     row_norms: Vec<f32>,
-    /// Inverse of `lists`: which list each row currently lives in. Lets
-    /// [`IvfFlatIndex::overwrite`] move a row between lists without
-    /// scanning every posting list for its id.
-    row_list: Vec<u32>,
     /// `nlist`/`nprobe` as requested at build time, *before* the
     /// row-count clamp. Growth-triggered retraining re-derives the
     /// effective parameters from these, so an index built over a small
@@ -72,16 +68,12 @@ pub struct IvfFlatIndex {
     requested_nprobe: usize,
     /// Row count the coarse quantizer was last trained on.
     trained_rows: usize,
-    /// Times the quantizer was retrained after build (the
-    /// [`AnnIndex::train_generation`](crate::AnnIndex) counter).
-    generation: u64,
 }
 
 /// Growth factor that triggers coarse-quantizer retraining: when
-/// [`IvfFlatIndex::add_batch`] (or a `refresh` that appends through it)
-/// grows the index to at least this multiple of the row count the
-/// quantizer was last trained on, the quantizer and posting lists are
-/// rebuilt from the current rows. Without it, `params.nlist = nlist.min(n)`
+/// [`IvfFlatIndex::add_batch`] grows the index to at least this multiple
+/// of the row count the quantizer was last trained on, the quantizer and
+/// posting lists are rebuilt from the current rows. Without it, `params.nlist = nlist.min(n)`
 /// clamped at build time would freeze a tiny list count forever while the
 /// index grows 100×, silently degrading both probe speed and the
 /// auto-tuner's `nprobe` range.
@@ -127,7 +119,6 @@ impl IvfFlatIndex {
         for (i, &a) in quantizer.assignments.iter().enumerate() {
             lists[a as usize].push(i as u32);
         }
-        let row_list = quantizer.assignments.clone();
         IvfFlatIndex {
             dim,
             metric,
@@ -136,24 +127,15 @@ impl IvfFlatIndex {
             lists,
             data: store,
             row_norms,
-            row_list,
             requested_nlist,
             requested_nprobe,
             trained_rows: n,
-            generation: 0,
         }
     }
 
     /// Storage format of the rows.
     pub fn row_format(&self) -> RowFormat {
         self.data.format()
-    }
-
-    /// How many times the coarse quantizer has been retrained since
-    /// build; lets callers detect a [`IvfFlatIndex::retrain`] that kept
-    /// every parameter numerically identical.
-    pub fn train_generation(&self) -> u64 {
-        self.generation
     }
 
     pub fn dim(&self) -> usize {
@@ -188,7 +170,6 @@ impl IvfFlatIndex {
             (self.quantizer.nearest_centroid(dec), kernels::metric_norm(self.metric, dec))
         };
         self.lists[list as usize].push(id);
-        self.row_list.push(list);
         self.row_norms.push(norm);
         id
     }
@@ -229,7 +210,6 @@ impl IvfFlatIndex {
             for (j, (list, norm)) in assignments.into_iter().zip(norms).enumerate() {
                 let id = (row0 + b0 + j) as u32;
                 self.lists[list].push(id);
-                self.row_list.push(list as u32);
                 self.row_norms.push(norm);
             }
             b0 += nr;
@@ -269,61 +249,7 @@ impl IvfFlatIndex {
             lists[a as usize].push(i as u32);
         }
         self.lists = lists;
-        self.row_list = self.quantizer.assignments.clone();
         self.trained_rows = n;
-        self.generation += 1;
-    }
-
-    /// Overwrite the stored vector `id` in place: the row moves to the
-    /// posting list of its nearest *trained* centroid (same contract as
-    /// [`IvfFlatIndex::add`] — the quantizer is never retrained, so the
-    /// partition quality reflects the data the index was built on).
-    pub fn overwrite(&mut self, id: u32, v: &[f32]) {
-        assert_eq!(v.len(), self.dim, "vector dimension mismatch");
-        assert!((id as usize) < self.len(), "overwrite id {id} out of range");
-        self.data.overwrite_row(id, v);
-        let mut scratch = Vec::new();
-        let (new_list, norm) = {
-            let dec = self.data.decoded_range(id as usize, 1, &mut scratch);
-            (self.quantizer.nearest_centroid(dec), kernels::metric_norm(self.metric, dec))
-        };
-        let old_list = self.row_list[id as usize] as usize;
-        if new_list as usize != old_list {
-            let pos = self.lists[old_list]
-                .iter()
-                .position(|&x| x == id)
-                .expect("row_list points at a list holding the id");
-            // Preserve ascending id order inside the destination list so a
-            // refreshed index scans lists in the same order a rebuilt one
-            // would (TopK retention is order-independent, but keeping the
-            // invariant makes the structures comparable in tests).
-            self.lists[old_list].remove(pos);
-            let dst = &mut self.lists[new_list as usize];
-            let at = dst.partition_point(|&x| x < id);
-            dst.insert(at, id);
-            self.row_list[id as usize] = new_list;
-        }
-        self.row_norms[id as usize] = norm;
-    }
-
-    /// Incremental update to match `data` (full new packed row set): rows
-    /// in `changed` are overwritten (re-assigned against the *stale*
-    /// trained quantizer), rows past the current length are appended via
-    /// the [`IvfFlatIndex::add_batch`] assignment path. Unlike
-    /// [`crate::FlatIndex::refresh`] this is not bitwise-equivalent to a
-    /// rebuild — a rebuild retrains the coarse quantizer — which is why
-    /// callers gate it on a drift threshold and fall back to a full build
-    /// when the rows have moved far.
-    pub fn refresh(&mut self, data: &[f32], changed: &[u32]) -> bool {
-        crate::metric::assert_packed(data.len(), self.dim);
-        let n_old = self.len();
-        assert!(data.len() / self.dim >= n_old, "refresh cannot shrink an index");
-        for &id in changed {
-            let i = id as usize * self.dim;
-            self.overwrite(id, &data[i..i + self.dim]);
-        }
-        self.add_batch(&data[n_old * self.dim..]);
-        true
     }
 
     /// Override `nprobe` after build (the auto-tuner's knob). The value
@@ -416,8 +342,8 @@ impl IvfFlatIndex {
     }
 
     /// Serialize the full trained state: parameters (requested and
-    /// clamped), the coarse quantizer, every posting list, the row/list
-    /// inverse, cached norms, and the rows as stored.
+    /// clamped), the coarse quantizer, every posting list, cached norms,
+    /// and the rows as stored.
     pub(crate) fn snapshot_bytes(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.put_usize(self.dim);
@@ -430,7 +356,6 @@ impl IvfFlatIndex {
         w.put_usize(self.requested_nlist);
         w.put_usize(self.requested_nprobe);
         w.put_usize(self.trained_rows);
-        w.put_u64(self.generation);
         w.put_usize(self.quantizer.k);
         w.put_usize(self.quantizer.dim);
         w.put_f32_slice(&self.quantizer.centroids);
@@ -442,7 +367,6 @@ impl IvfFlatIndex {
         for list in &self.lists {
             w.put_u32_slice(list);
         }
-        w.put_u32_slice(&self.row_list);
         w.put_f32_slice(&self.row_norms);
         let (full, half) = self.data.raw_parts();
         w.put_f32_slice(full);
@@ -467,7 +391,6 @@ impl IvfFlatIndex {
         let requested_nlist = r.get_usize()?;
         let requested_nprobe = r.get_usize()?;
         let trained_rows = r.get_usize()?;
-        let generation = r.get_u64()?;
         let quantizer = KMeans {
             k: r.get_usize()?,
             dim: r.get_usize()?,
@@ -485,7 +408,6 @@ impl IvfFlatIndex {
         for _ in 0..n_lists {
             lists.push(r.get_u32_slice()?);
         }
-        let row_list = r.get_u32_slice()?;
         let row_norms = r.get_f32_slice()?;
         let full = r.get_f32_slice()?;
         let half = r.get_u16_slice()?;
@@ -496,20 +418,26 @@ impl IvfFlatIndex {
         let data = RowStore::from_raw(dim, format, full, half)
             .ok_or(SnapshotError::Corrupt("ivf row store shape"))?;
         let n = data.len();
-        if row_norms.len() != n || row_list.len() != n {
+        if row_norms.len() != n {
             return Err(SnapshotError::Corrupt("ivf per-row array length"));
         }
+        // The posting lists partition the rows: every id in `0..n` exactly
+        // once, ascending within each list (build, add and retrain all
+        // push ids in increasing order).
+        let partition = "ivf posting lists do not partition the rows";
         if lists.iter().map(Vec::len).sum::<usize>() != n {
-            return Err(SnapshotError::Corrupt("ivf posting lists do not cover the rows"));
+            return Err(SnapshotError::Corrupt(partition));
         }
-        for (row, &list) in row_list.iter().enumerate() {
-            if list as usize >= n_lists {
-                return Err(SnapshotError::Corrupt("ivf row assigned past nlist"));
+        let mut seen = vec![false; n];
+        for list in &lists {
+            if list.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(SnapshotError::Corrupt("ivf posting list not ascending"));
             }
-            // Posting lists keep ascending id order (build and overwrite
-            // both preserve it), so the inverse check can bisect.
-            if lists[list as usize].binary_search(&(row as u32)).is_err() {
-                return Err(SnapshotError::Corrupt("ivf row_list inverse broken"));
+            for &id in list {
+                if seen.get(id as usize) != Some(&false) {
+                    return Err(SnapshotError::Corrupt(partition));
+                }
+                seen[id as usize] = true;
             }
         }
         Ok(IvfFlatIndex {
@@ -520,11 +448,9 @@ impl IvfFlatIndex {
             lists,
             data,
             row_norms,
-            row_list,
             requested_nlist,
             requested_nprobe,
             trained_rows,
-            generation,
         })
     }
 }
@@ -649,21 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_that_grows_past_threshold_retrains() {
-        let dim = 4;
-        let seed_pool = random_data(10, dim, 31);
-        let params = IvfParams { nlist: 32, nprobe: 32, ..Default::default() };
-        let mut ix = IvfFlatIndex::build(&seed_pool, dim, Metric::L2, params);
-        assert_eq!(ix.params().nlist, 10);
-        let mut new = seed_pool.clone();
-        new.extend_from_slice(&random_data(90, dim, 32));
-        assert!(ix.refresh(&new, &[]));
-        assert_eq!(ix.params().nlist, 32, "append-heavy refresh must retrain");
-        let fresh = IvfFlatIndex::build(&new, dim, Metric::L2, params);
-        assert_eq!(ix.search(&new[0..dim], 5), fresh.search(&new[0..dim], 5));
-    }
-
-    #[test]
     fn tuned_nprobe_survives_growth_retrain() {
         let dim = 4;
         let mut ix = IvfFlatIndex::build(
@@ -717,6 +628,33 @@ mod tests {
             let q = &all[qi * dim..(qi + 1) * dim];
             assert_eq!(ix.search(q, 7), fresh.search(q, 7), "qi={qi}");
         }
+    }
+
+    #[test]
+    fn snapshot_lists_that_repeat_one_id_and_drop_another_are_corrupt() {
+        let dim = 4;
+        let params = IvfParams { nlist: 4, nprobe: 4, ..Default::default() };
+        let ix = IvfFlatIndex::build(&random_data(40, dim, 71), dim, Metric::L2, params);
+        let full: Vec<usize> = (0..ix.lists.len()).filter(|&l| !ix.lists[l].is_empty()).collect();
+        let (a, b) = (full[0], full[1]);
+        let rejects = |bad: &IvfFlatIndex| {
+            matches!(
+                IvfFlatIndex::from_snapshot_bytes(&bad.snapshot_bytes()),
+                Err(SnapshotError::Corrupt(_))
+            )
+        };
+        // List `b` loses its first id and gains list `a`'s first id:
+        // lengths still sum to n, every list stays ascending.
+        let mut bad = ix.clone();
+        bad.lists[b][0] = ix.lists[a][0];
+        bad.lists[b].sort_unstable();
+        assert!(rejects(&bad), "a repeated id must not load");
+        // An out-of-order list is rejected too.
+        let mut bad = ix.clone();
+        bad.lists[a].reverse();
+        assert!(ix.lists[a].len() < 2 || rejects(&bad), "an unsorted list must not load");
+        // The untouched index still round-trips.
+        assert!(IvfFlatIndex::from_snapshot_bytes(&ix.snapshot_bytes()).is_ok());
     }
 
     #[test]

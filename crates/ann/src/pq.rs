@@ -283,24 +283,6 @@ impl PqIndex {
         queries.par_chunks(self.pq.dim).map(|q| self.search(q, k)).collect()
     }
 
-    /// Append-only incremental update ([`crate::AnnIndex::refresh`]
-    /// contract): PQ stores codes, not rows, so an overwritten row cannot
-    /// be re-encoded consistently with what the caller diffed against —
-    /// any `changed` entry declines the update and forces a rebuild. With
-    /// nothing changed, rows past the current length are encoded against
-    /// the trained codebooks via [`PqIndex::add_batch`], exactly what a
-    /// persistent index would have done as those rows streamed in.
-    pub fn refresh(&mut self, data: &[f32], changed: &[u32]) -> bool {
-        if !changed.is_empty() {
-            return false;
-        }
-        crate::metric::assert_packed(data.len(), self.pq.dim);
-        let n_old = self.len();
-        assert!(data.len() / self.pq.dim >= n_old, "refresh cannot shrink an index");
-        self.add_batch(&data[n_old * self.pq.dim..]);
-        true
-    }
-
     /// Serialize the full trained state: codebooks, cached codebook
     /// norms, every code, and the cosine zero-row mask.
     pub(crate) fn snapshot_bytes(&self) -> Vec<u8> {

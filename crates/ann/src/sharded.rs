@@ -12,10 +12,9 @@
 //! Each shard is a [`ShardHandle`]: one or more replicas behind the
 //! [`ShardTransport`] boundary, so a shard can live in this process
 //! ([`crate::LocalShard`] — the default, zero-cost) or behind a `shardd`
-//! node on the network ([`crate::RemoteShard`]). When every shard is a
-//! single local replica, probing takes exactly the pre-transport
-//! per-query path; otherwise probes scatter one batched frame per shard
-//! and gather the replies, with **hedged requests** on replicated
+//! node on the network ([`crate::RemoteShard`]). Every probe scatters
+//! one batched frame per shard and gathers the replies — a single
+//! replica is called directly — with **hedged requests** on replicated
 //! shards: if the preferred replica has not answered within a
 //! p99-derived delay, the same frame is fired at the next replica and
 //! the first response wins (the loser's reply is discarded). A replica
@@ -116,12 +115,6 @@ impl ShardHandle {
         &self.replicas[0]
     }
 
-    /// Single unreplicated in-process replica: the configuration whose
-    /// probes bypass scatter frames entirely.
-    fn is_plain_local(&self) -> bool {
-        self.replicas.len() == 1 && self.replicas[0].is_local()
-    }
-
     fn can_refresh(&self) -> bool {
         self.primary().can_refresh()
     }
@@ -130,24 +123,12 @@ impl ShardHandle {
         self.primary().len()
     }
 
-    fn train_generation(&self) -> u64 {
-        self.primary().train_generation()
-    }
-
     fn knob(&self, knob: Knob) -> Result<Option<(usize, usize)>, TransportError> {
         self.primary().knob(knob)
     }
 
     fn snapshot_blob(&self) -> Result<(u8, Vec<u8>), TransportError> {
         self.primary().snapshot_blob()
-    }
-
-    /// The all-local per-query probe (today's path). Local transports
-    /// are infallible by construction; anything else goes through
-    /// [`ShardHandle::probe`].
-    fn search_local(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        self.primary().search(query, k).expect("local shard probe cannot fail")
     }
 
     fn record_latency(&self, elapsed: Duration) {
@@ -442,27 +423,10 @@ impl ShardedIndex {
         self.len() == 0
     }
 
-    /// Every shard is a single in-process replica: probe exactly like
-    /// the pre-transport composite, no scatter frames.
-    fn all_local(&self) -> bool {
-        self.children.iter().all(|c| c.is_plain_local())
-    }
-
     /// Map a shard-local hit id back to the global insertion id.
     #[inline]
     fn to_global(&self, shard: usize, local: u32) -> u32 {
         local * self.children.len() as u32 + shard as u32
-    }
-
-    /// Probe one local shard for its local top-`k`, remapped to global
-    /// ids. Each shard must contribute a full `k` candidates: the global
-    /// top-`k` can in the worst case come entirely from one shard.
-    fn probe_shard(&self, s: usize, query: &[f32], k: usize) -> Vec<Hit> {
-        self.children[s]
-            .search_local(query, k)
-            .into_iter()
-            .map(|h| Hit { id: self.to_global(s, h.id), distance: h.distance })
-            .collect()
     }
 
     /// Probe every shard in parallel and merge. Panics on a transport
@@ -476,33 +440,14 @@ impl ShardedIndex {
     /// transports and surfaces a typed [`TransportError`] when a shard
     /// is unreachable on every replica.
     pub fn try_search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>, TransportError> {
-        if self.all_local() {
-            let per_shard: Vec<Vec<Hit>> = (0..self.children.len())
-                .into_par_iter()
-                .map(|s| self.probe_shard(s, query, k))
-                .collect();
-            return Ok(merge_topk(&per_shard, k));
-        }
+        assert_eq!(query.len(), self.dim, "query dimension mismatch");
         Ok(self.scatter_gather(query, k)?.pop().unwrap_or_default())
     }
 
-    /// Probe every shard for one query *sequentially* and merge — the
-    /// per-query unit of work the all-local
-    /// [`ShardedIndex::search_batch`] parallelizes over.
-    fn search_one(&self, query: &[f32], k: usize) -> Vec<Hit> {
-        let per_shard: Vec<Vec<Hit>> =
-            (0..self.children.len()).map(|s| self.probe_shard(s, query, k)).collect();
-        merge_topk(&per_shard, k)
-    }
-
-    /// Batch probe. All-local composites keep the pre-transport shape:
-    /// the (query × shard) fan-out runs one parallel level deep — large
-    /// batches parallelize over queries (each query probing its shards
-    /// inline), batches smaller than the shard count fall back to the
-    /// shard-parallel [`ShardedIndex::search`] per query. Composites
-    /// with remote or replicated shards scatter one batched frame per
-    /// shard instead (the remote node parallelizes internally in its
-    /// own process), hedge slow replicas, and merge per query.
+    /// Batch probe: one batched frame per shard, shards probed
+    /// concurrently (each child parallelizes over queries internally, in
+    /// this process or on its node), slow replicas hedged, and the
+    /// replies merged per query.
     pub fn search_batch(&self, queries: &[f32], k: usize) -> Vec<Vec<Hit>> {
         self.try_search_batch(queries, k).expect("shard transport failed during search_batch")
     }
@@ -514,16 +459,6 @@ impl ShardedIndex {
         k: usize,
     ) -> Result<Vec<Vec<Hit>>, TransportError> {
         assert_eq!(queries.len() % self.dim, 0, "query batch length not a multiple of dim");
-        if self.all_local() {
-            let nq = queries.len() / self.dim;
-            if nq < self.children.len() {
-                return queries
-                    .chunks(self.dim)
-                    .map(|q| self.try_search(q, k))
-                    .collect::<Result<Vec<_>, _>>();
-            }
-            return Ok(queries.par_chunks(self.dim).map(|q| self.search_one(q, k)).collect());
-        }
         self.scatter_gather(queries, k)
     }
 
@@ -534,13 +469,18 @@ impl ShardedIndex {
         if nq == 0 {
             return Ok(Vec::new());
         }
+        let probe = |c: &ShardHandle| c.probe(queries, k, nq as u64, self.hedge_delay);
+        // Shard 0 is probed on the calling thread while the others run
+        // on scoped threads: one spawn fewer per call, none at all for a
+        // one-shard composite.
+        let (first, rest) = self.children.split_first().expect("at least one shard");
         let results: Vec<Result<Vec<Vec<Hit>>, TransportError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .children
-                .iter()
-                .map(|c| scope.spawn(move || c.probe(queries, k, nq as u64, self.hedge_delay)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("shard scatter thread panicked")).collect()
+            let handles: Vec<_> = rest.iter().map(|c| scope.spawn(move || probe(c))).collect();
+            let mut results = vec![probe(first)];
+            results.extend(
+                handles.into_iter().map(|h| h.join().expect("shard scatter thread panicked")),
+            );
+            results
         });
         let mut per_shard = Vec::with_capacity(self.children.len());
         for r in results {
@@ -851,9 +791,6 @@ impl AnnIndex for ShardedIndex {
     fn set_ef_search(&mut self, ef: usize) -> bool {
         ShardedIndex::set_ef_search(self, ef)
     }
-    fn train_generation(&self) -> u64 {
-        self.children.iter().map(|c| c.train_generation()).sum()
-    }
     fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
         ShardedIndex::search(self, query, k)
     }
@@ -1100,9 +1037,6 @@ mod tests {
         }
         fn can_refresh(&self) -> bool {
             self.inner.can_refresh()
-        }
-        fn train_generation(&self) -> u64 {
-            self.inner.train_generation()
         }
         fn endpoint(&self) -> String {
             "faulty".into()

@@ -15,7 +15,7 @@
 //! tagged child blob per shard. A member snapshot
 //! ([`save_member`]) additionally carries the exact f32 rows the index
 //! was built from, so a warm-started engine can replay its
-//! refresh-vs-rebuild decision against them bitwise.
+//! reuse-vs-rebuild decision against them bitwise.
 //!
 //! The correctness anchor mirrors refresh-vs-rebuild: snapshot → load →
 //! probe is bitwise equal to build → probe for every family, shard
@@ -35,7 +35,7 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"DIALSNP\0";
 
 /// Bumped on any layout change; old files are rejected (never
 /// misparsed) and the caller rebuilds from data.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Family tags (the `family` header byte).
 pub(crate) const FAMILY_FLAT: u8 = 0;

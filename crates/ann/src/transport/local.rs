@@ -1,4 +1,4 @@
-//! The in-process shard transport: today's path, zero marshalling.
+//! The in-process shard transport: zero marshalling.
 
 use super::{Knob, ShardTransport, TransportError};
 use crate::index::AnnIndex;
@@ -48,14 +48,6 @@ impl ShardTransport for LocalShard {
         self.read().can_refresh()
     }
 
-    fn train_generation(&self) -> u64 {
-        self.read().train_generation()
-    }
-
-    fn is_local(&self) -> bool {
-        true
-    }
-
     fn endpoint(&self) -> String {
         "local".into()
     }
@@ -73,10 +65,6 @@ impl ShardTransport for LocalShard {
 
     fn refresh(&self, data: &[f32], changed: &[u32]) -> Result<bool, TransportError> {
         Ok(self.write().refresh(data, changed))
-    }
-
-    fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>, TransportError> {
-        Ok(self.read().search(query, k))
     }
 
     fn search_batch(&self, queries: &[f32], k: usize) -> Result<Vec<Vec<Hit>>, TransportError> {

@@ -4,8 +4,8 @@
 //! object-safe [`ShardTransport`] trait instead of a concrete child
 //! index, so where a shard *lives* is a deployment choice, not a type:
 //!
-//! * [`LocalShard`] wraps an in-process child index at zero cost —
-//!   today's path, bitwise identical to the pre-transport composite;
+//! * [`LocalShard`] wraps an in-process child index, with no
+//!   marshalling;
 //! * [`RemoteShard`] speaks a small length-prefixed, checksummed binary
 //!   protocol ([`wire`]) over TCP to a [`ShardNode`] — the accept loop
 //!   behind the `shardd` binary. Index state crosses the wire as the
@@ -46,8 +46,7 @@ pub mod testing {
         len: usize,
     ) -> io::Result<()> {
         wire::read_frame(s).map_err(to_io)?;
-        let info =
-            wire::NodeInfo { dim, len, metric_code: 0, can_refresh: true, train_generation: 0 };
+        let info = wire::NodeInfo { dim, len, metric_code: 0, can_refresh: true };
         let mut w = SnapshotWriter::new();
         wire::encode_info_into(&mut w, &info);
         wire::write_frame(s, wire::RESP_OK, &w.into_bytes()).map_err(to_io)
@@ -177,10 +176,9 @@ impl Knob {
 ///   step of shard shipping) and [`ShardTransport::snapshot_blob`]
 ///   fetches one back.
 ///
-/// The cheap descriptive getters (`dim`/`len`/`metric`/`can_refresh`/
-/// `train_generation`) are infallible: remote implementations cache them
-/// from the node's replies to mutating calls rather than paying a round
-/// trip per read.
+/// The cheap descriptive getters (`dim`/`len`/`metric`/`can_refresh`)
+/// are infallible: remote implementations cache them from the node's
+/// replies to mutating calls rather than paying a round trip per read.
 pub trait ShardTransport: Send + Sync {
     /// Vector dimensionality of the installed index (0 when none).
     fn dim(&self) -> usize;
@@ -200,15 +198,6 @@ pub trait ShardTransport: Send + Sync {
     /// in place (the composite's pre-mutation acceptance probe).
     fn can_refresh(&self) -> bool;
 
-    /// Trained-structure generation of the installed index.
-    fn train_generation(&self) -> u64;
-
-    /// `true` only for in-process transports — the sharded layer keeps
-    /// its zero-overhead per-query path when every shard is local.
-    fn is_local(&self) -> bool {
-        false
-    }
-
     /// Human-readable endpoint ("local", `tcp://host:port`) for stats
     /// and error messages.
     fn endpoint(&self) -> String;
@@ -224,14 +213,6 @@ pub trait ShardTransport: Send + Sync {
     /// Incrementally update the installed index; `Ok(applied)` carries
     /// the child's in-place acceptance per the `AnnIndex` contract.
     fn refresh(&self, data: &[f32], changed: &[u32]) -> Result<bool, TransportError>;
-
-    /// Top-`k` for one query — default routes through
-    /// [`ShardTransport::search_batch`]; `LocalShard` overrides it to
-    /// the child's single-query path so the all-local composite stays
-    /// bitwise on today's code.
-    fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>, TransportError> {
-        Ok(self.search_batch(query, k)?.pop().unwrap_or_default())
-    }
 
     /// Top-`k` for many packed queries — one frame per shard is the
     /// scatter-gather unit.

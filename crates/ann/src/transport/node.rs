@@ -110,7 +110,6 @@ fn info_of(index: &Option<Box<dyn AnnIndex>>) -> NodeInfo {
             len: ix.len(),
             metric_code: snapshot::metric_code(ix.metric()),
             can_refresh: ix.can_refresh(),
-            train_generation: ix.train_generation(),
         },
         None => NodeInfo::default(),
     }

@@ -122,10 +122,6 @@ impl ShardTransport for RemoteShard {
         self.cached().can_refresh
     }
 
-    fn train_generation(&self) -> u64 {
-        self.cached().train_generation
-    }
-
     fn endpoint(&self) -> String {
         format!("tcp://{}", self.addr)
     }

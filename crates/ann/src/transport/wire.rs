@@ -24,7 +24,7 @@ use crate::topk::Hit;
 use std::io::{Read, Write};
 
 pub(crate) const WIRE_MAGIC: [u8; 4] = *b"DSHW";
-pub(crate) const WIRE_VERSION: u8 = 1;
+pub(crate) const WIRE_VERSION: u8 = 2;
 
 /// Sanity ceiling on a declared payload length: a corrupt or hostile
 /// header cannot trigger a multi-gigabyte allocation.
@@ -152,7 +152,6 @@ pub(crate) struct NodeInfo {
     pub len: usize,
     pub metric_code: u8,
     pub can_refresh: bool,
-    pub train_generation: u64,
 }
 
 pub(crate) fn encode_info_into(w: &mut SnapshotWriter, info: &NodeInfo) {
@@ -160,7 +159,6 @@ pub(crate) fn encode_info_into(w: &mut SnapshotWriter, info: &NodeInfo) {
     w.put_usize(info.len);
     w.put_u8(info.metric_code);
     w.put_u8(info.can_refresh as u8);
-    w.put_u64(info.train_generation);
 }
 
 pub(crate) fn decode_info_from(r: &mut SnapshotReader) -> Result<NodeInfo, TransportError> {
@@ -169,7 +167,6 @@ pub(crate) fn decode_info_from(r: &mut SnapshotReader) -> Result<NodeInfo, Trans
         len: r.get_usize()?,
         metric_code: r.get_u8()?,
         can_refresh: r.get_u8()? != 0,
-        train_generation: r.get_u64()?,
     })
 }
 

@@ -47,8 +47,8 @@ pub struct RoundTimings {
     /// build/probe pipeline on, builds overlap probes, so
     /// `index_build + index_probe` can exceed `indexing_retrieval`.
     pub index_probe: f64,
-    /// Committee members whose index was refreshed incrementally instead
-    /// of rebuilt from scratch this round.
+    /// Committee members whose index was kept (rows bitwise unchanged)
+    /// or refreshed in place instead of rebuilt from scratch this round.
     pub incremental_members: usize,
     /// How much of the round's background snapshot I/O (loading member
     /// snapshots at warm start, saving them after the first build) hid

@@ -478,20 +478,16 @@ pub struct DialConfig {
     /// concurrently and merges per-shard top-k at probe time
     /// (`Sharded(Flat, n)` retrieves identically to `Flat`).
     pub index_shards: usize,
-    /// Incremental re-indexing gate for the persistent retrieval engine:
-    /// when the mean cosine shift of a member's embeddings against the
-    /// cached previous round is at or below this threshold, the engine
-    /// refreshes the existing index in place (row overwrite +
-    /// `add_batch`) instead of rebuilding from scratch. `0.0` (the
-    /// default) engages the incremental path only when no stored row
-    /// changed at all; with the row set also unchanged — the AL-loop
-    /// case, `|R|` is fixed across rounds — the refresh is a no-op and
-    /// exact for every family. Appended rows stream in via the family's
-    /// `add_batch` contract (bitwise a rebuild for Flat/sharded-Flat;
-    /// quantized families assign against their trained structures
-    /// without retraining). Positive values additionally admit row
-    /// overwrites, trading retrieval freshness of quantized structures
-    /// for indexing latency.
+    /// Incremental re-indexing gate for the persistent retrieval engine.
+    /// A member whose rows are bitwise unchanged always keeps its index.
+    /// Otherwise, when the mean cosine shift of its embeddings against
+    /// the cached previous round is at or below this threshold, the
+    /// engine asks the index to refresh in place — which only the flat
+    /// families (Flat, Sharded over Flat) accept, because for them it is
+    /// bitwise a rebuild; every other family rebuilds. `0.0` (the
+    /// default) admits appended rows only; positive values also admit
+    /// row overwrites. Retrieval is bitwise a from-scratch build at
+    /// every threshold, so this only trades indexing work.
     pub incremental_threshold: f64,
     /// Close the auto-tuning loop from *observed* metrics: when on, the
     /// retrieval engine runs a calibration stage on the first round (and

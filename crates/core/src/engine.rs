@@ -7,27 +7,24 @@
 //! is the stateful replacement the AL loop keeps alive across rounds; it
 //! attacks both halves of that cost:
 //!
-//! 1. **Incremental maintenance.** The engine caches each member's
-//!    previous-round embedding rows next to its built index. At the next
-//!    round it measures the drift — the mean cosine shift of the new
-//!    rows against the cached ones — and, when the drift is at or below
-//!    [`DialConfig::incremental_threshold`](crate::config::DialConfig),
-//!    updates the live index in place through [`AnnIndex::refresh`]
-//!    (bitwise row overwrite + `add_batch` for appended rows) instead of
-//!    rebuilding. Families that cannot update in place (PQ, HNSW)
-//!    decline the refresh and fall back to a from-scratch build, as does
-//!    any member whose drift exceeds the threshold. At the default
-//!    threshold of `0.0` the incremental path only engages when no
-//!    stored row changed at all (the drift measure is scale-invariant,
-//!    so a strictly-zero threshold refuses overwrites outright). With
-//!    the row set also unchanged — the AL-loop case, where the indexed
-//!    list never grows between rounds — the refresh is a no-op and
-//!    therefore exact for every family; appended rows ride the family's
-//!    `add_batch` contract instead (bitwise a rebuild for flat
-//!    families, assign-against-trained-structures for quantized ones).
-//!    The changed-row set is computed by *bitwise* comparison, never
-//!    from the drift measure, so an engaged refresh stores exactly the
-//!    new rows.
+//! 1. **Exact incremental maintenance.** The engine caches each
+//!    member's previous-round embedding rows next to its built index and
+//!    applies one rule per member, whose output is bitwise the index a
+//!    from-scratch build over the new rows would be, for every family
+//!    and every threshold:
+//!    * new rows bitwise equal to the cached ones: keep the index
+//!      untouched (the warm-start and steady-state reuse path);
+//!    * otherwise, when the drift — the mean cosine shift of the new
+//!      rows against the cached ones — is at or below
+//!      [`DialConfig::incremental_threshold`](crate::config::DialConfig),
+//!      ask the index to [`AnnIndex::refresh`] in place. Only families
+//!      for which that is bitwise a rebuild accept (Flat, and Sharded
+//!      over flat children); the trained families decline. The
+//!      changed-row set is computed by *bitwise* comparison, never from
+//!      the drift measure. Because the drift is scale-invariant, a
+//!      strictly-zero threshold admits appended rows only, never an
+//!      overwrite;
+//!    * rebuild from scratch in every other case.
 //!
 //! 2. **Pipelined build/probe.** Member indexes stream from a builder
 //!    thread to the probing thread through a bounded SPSC channel
@@ -60,10 +57,6 @@ struct BuildInfo {
     secs: f64,
     incremental: bool,
     drift: f64,
-    /// An in-place refresh retrained the member's coarse quantizer
-    /// (growth-triggered, [`dial_ann::RETRAIN_GROWTH`]): the probe-width
-    /// ceiling changed under the calibration, which must rerun.
-    retrained: bool,
 }
 
 /// Aggregate timings and reuse counters of the engine's last round.
@@ -78,10 +71,12 @@ pub struct EngineRoundStats {
     /// Wall-clock seconds of the whole retrieval. With the pipeline on,
     /// `build_secs + probe_secs > wall_secs` measures the overlap won.
     pub wall_secs: f64,
-    /// Members whose index was refreshed in place.
+    /// Members whose index was kept (rows bitwise unchanged) or
+    /// refreshed in place.
     pub incremental_members: usize,
-    /// Members rebuilt from scratch (drift above threshold, first round,
-    /// shape change, or a family that declines in-place refresh).
+    /// Members rebuilt from scratch (changed rows under a family that
+    /// cannot refresh exactly, drift above threshold, first round, or a
+    /// shape change).
     pub rebuilt_members: usize,
     /// Mean embedding drift (cosine shift) across members that had a
     /// previous round to compare against.
@@ -166,7 +161,7 @@ pub struct RetrievalEngine {
     members: Vec<MemberState>,
     last: EngineRoundStats,
     tune: Option<TuneConfig>,
-    /// Calibration already ran against the current quantizer generation;
+    /// Calibration already ran against the current member indexes;
     /// cleared by [`RetrievalEngine::reset`] and by quantizer-
     /// invalidating rebuilds (a member with prior state rebuilt from
     /// scratch, i.e. retrained on drifted rows).
@@ -252,9 +247,11 @@ pub fn recall_at_k(hits: &[Vec<Hit>], truth: &[Vec<Hit>], k: usize) -> f64 {
     overlap as f64 / total.max(1) as f64
 }
 
-/// Bring one member's index in line with `view`: refresh in place when
-/// the prior state is compatible and the drift allows it, build from
-/// scratch otherwise. Runs on the builder thread when pipelined.
+/// Bring one member's index in line with `view` by the module's exact
+/// maintenance rule: keep it when the rows are bitwise unchanged,
+/// refresh it in place when the drift allows and the family refreshes
+/// exactly, build from scratch otherwise. Runs on the builder thread
+/// when pipelined.
 fn prepare_member(
     spec: &IndexSpec,
     threshold: f64,
@@ -273,25 +270,26 @@ fn prepare_member(
             // the same k-means training twice. Its real cost is
             // recorded in `TuningOutcome::calibrate_secs`.
             debug_assert_eq!(state.rows, view);
-            let info = BuildInfo {
-                secs: t0.elapsed().as_secs_f64(),
-                incremental: false,
-                drift: 0.0,
-                retrained: false,
-            };
+            let info =
+                BuildInfo { secs: t0.elapsed().as_secs_f64(), incremental: false, drift: 0.0 };
             return (state, info);
         }
     }
     let rebuild =
         || MemberState { index: spec.build_rows(view, dim, Metric::L2, rows), rows: view.to_vec() };
-    let mut info = BuildInfo { secs: 0.0, incremental: false, drift: 0.0, retrained: false };
+    let mut info = BuildInfo { secs: 0.0, incremental: false, drift: 0.0 };
     let state = match prev {
+        // Bitwise the rows the index was built from: it already is the
+        // rebuild, for every family.
+        Some(st) if st.index.dim() == dim && st.rows == view => {
+            info.incremental = true;
+            st
+        }
         // Compatible prior state: same width, no rows dropped (an index
         // never shrinks in place), and actually populated.
         Some(mut st)
             if st.index.dim() == dim && !st.rows.is_empty() && st.rows.len() <= view.len() =>
         {
-            let gen_before = st.index.train_generation();
             info.drift = mean_cosine_shift(&st.rows, &view[..st.rows.len()], dim);
             let refreshed = info.drift <= threshold && {
                 let n_old = st.rows.len() / dim;
@@ -302,23 +300,14 @@ fn prepare_member(
                     })
                     .collect();
                 // The cosine drift is scale-invariant, so a row can be
-                // *bitwise* changed (e.g. exactly doubled) at drift 0.
-                // Overwriting such rows is exact for Flat but not for the
-                // quantized families — so the "threshold 0.0 is always
-                // exact" guarantee requires a strictly-zero threshold to
-                // admit only appends, never overwrites. Positive
-                // thresholds opt into approximate reuse explicitly.
+                // *bitwise* changed (e.g. exactly doubled) at drift 0: a
+                // strictly-zero threshold admits appends only, positive
+                // thresholds admit overwrites too. Either way only the
+                // exact families accept the refresh.
                 (changed.is_empty() || threshold > 0.0) && st.index.refresh(view, &changed)
             };
             if refreshed {
                 info.incremental = true;
-                // An append-heavy refresh can retrain the quantizer in
-                // place (growth-triggered): the training-generation
-                // counter catches it even when the retrained parameters
-                // (nlist, ceiling) come out numerically identical — the
-                // calibration measured on the old quantizer no longer
-                // stands either way.
-                info.retrained = st.index.train_generation() != gen_before;
                 st.rows.clear();
                 st.rows.extend_from_slice(view);
                 st
@@ -406,7 +395,7 @@ impl RetrievalEngine {
     /// committee training in the AL loop). Loaded members install as the
     /// double buffer's back side: they become each member's *previous*
     /// state, and the first retrieval's bitwise row comparison decides
-    /// no-op-refresh versus rebuild exactly as a persistent engine's
+    /// reuse versus rebuild exactly as a persistent engine's
     /// second round would — so a warm run retrieves bit-for-bit what a
     /// cold run does, whether the stored rows still match or not. Any
     /// rejected snapshot (corrupt, truncated, or written under a
@@ -651,11 +640,12 @@ impl RetrievalEngine {
     /// The calibration stage (see [`RetrievalEngine::with_tuning`]):
     /// measure recall@k of a held-out probe sample at increasing knob
     /// width and rewrite the spec's width with the cheapest one that
-    /// loses nothing. Runs once per quantizer generation; member 0's views
-    /// stand in for the workload (every member indexes a view of the
-    /// same `R` and probes a view of the same `S`). The choice depends
-    /// only on measured recall — never on measured latency — so two
-    /// calibrations over the same data pick the same width.
+    /// loses nothing. Runs once, and again after a rebuild replaces a
+    /// member index; member 0's views stand in for the workload (every
+    /// member indexes a view of the same `R` and probes a view of the
+    /// same `S`). The choice depends only on measured recall — never on
+    /// measured latency — so two calibrations over the same data pick
+    /// the same width.
     fn calibrate(
         &mut self,
         view_r: &[f32],
@@ -828,9 +818,6 @@ impl RetrievalEngine {
                     quantizer_invalidated = true;
                 }
             }
-            // Same staleness through the other door: a refresh whose
-            // growth-triggered retrain replaced the quantizer in place.
-            quantizer_invalidated |= info.retrained;
         };
 
         if self.pipeline_depth == 0 || n <= 1 {
@@ -1213,32 +1200,6 @@ mod tests {
         // Sanity: the record really was replaced (first round's steps
         // were measured on the old blobs).
         let _ = first;
-    }
-
-    #[test]
-    fn growth_retrain_during_refresh_invalidates_calibration() {
-        // An IVF index built over a tiny seed pool clamps nlist to it; a
-        // refresh that appends past RETRAIN_GROWTH retrains the
-        // quantizer in place (the probe-width ceiling changes), and the
-        // engine must recalibrate against the new quantizer.
-        let (vr, vs) = clustered_views(30, 40, 1, 6, 60);
-        let mut e =
-            RetrievalEngine::with_tuning(ivf_spec(64, 4), f64::MAX, 0, TuneConfig::default());
-        e.retrieve_committee(&vr, &vs, DIM, 3, 1_000);
-        let first = e.last_tuning().cloned().unwrap();
-        assert_eq!(first.ceiling, 30, "build clamps nlist (and the ceiling) to the seed pool");
-        // Grow the member's view 5x: the in-place refresh retrains.
-        let mut grown = vr.clone();
-        grown[0].extend(views(120, 1, 61).remove(0));
-        e.retrieve_committee(&grown, &vs, DIM, 3, 1_000);
-        assert_eq!(e.last_round().incremental_members, 1, "growth must ride the refresh path");
-        // Next round: recalibrated, with the un-clamped ceiling.
-        e.retrieve_committee(&grown, &vs, DIM, 3, 1_000);
-        assert_eq!(
-            e.last_tuning().unwrap().ceiling,
-            64,
-            "recalibration must see the retrained nlist"
-        );
     }
 
     fn hnsw_spec(ef: usize) -> IndexSpec {

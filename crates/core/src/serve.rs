@@ -50,8 +50,8 @@
 //! read–write lock and stamps every mutation with a monotone
 //! **generation counter**: [`QueryService::install_index`] (replace the
 //! whole index with a freshly built one — the zero-downtime "serve round
-//! *r* while round *r+1* trains" swap), [`QueryService::refresh`]
-//! (in-place row update), and the tuner knobs
+//! *r* while round *r+1* trains" swap — also how changed rows reach the
+//! service: install an index rebuilt over them), and the tuner knobs
 //! [`QueryService::set_nprobe`] / [`QueryService::set_ef_search`]. Cache
 //! entries carry the generation they were scanned at, and a lookup only
 //! hits at the *current* generation — so a mutation invalidates the
@@ -387,7 +387,7 @@ struct KeyGroup {
 /// manual pump.
 struct Inner {
     /// The live index. Scans hold the read side; mutations
-    /// (`install_index`, `refresh`, knob changes) take the write side
+    /// (`install_index`, knob changes) take the write side
     /// and bump `generation` before releasing it.
     index: RwLock<Box<dyn AnnIndex>>,
     /// Pinned at construction; `install_index` enforces it, so `submit`
@@ -714,8 +714,8 @@ impl QueryService {
     }
 
     /// The current index generation. Bumped by every mutation
-    /// ([`QueryService::install_index`], [`QueryService::refresh`],
-    /// [`QueryService::set_nprobe`], [`QueryService::set_ef_search`]);
+    /// ([`QueryService::install_index`], [`QueryService::set_nprobe`],
+    /// [`QueryService::set_ef_search`]);
     /// cache entries from older generations are never served.
     pub fn generation(&self) -> u64 {
         self.inner.generation.load(Ordering::Acquire)
@@ -741,25 +741,6 @@ impl QueryService {
         *guard = index;
         self.inner.generation.fetch_add(1, Ordering::Release);
         Ok(())
-    }
-
-    /// In-place [`AnnIndex::refresh`] of the served index under the
-    /// write lock, returning whether the family applied it. Any call
-    /// that may have mutated the index bumps the generation (a no-op
-    /// refresh — nothing changed, nothing appended — does not). On a
-    /// `false` return the family declined and the index may be
-    /// partially updated (the `AnnIndex::refresh` contract):
-    /// [`QueryService::install_index`] a rebuilt index before serving
-    /// further traffic.
-    pub fn refresh(&self, data: &[f32], changed: &[u32]) -> bool {
-        let mut guard = self.inner.index.write().unwrap();
-        let before_len = guard.len();
-        let applied = guard.refresh(data, changed);
-        let mutated = !applied || !changed.is_empty() || guard.len() != before_len;
-        if mutated {
-            self.inner.generation.fetch_add(1, Ordering::Release);
-        }
-        applied
     }
 
     /// Retune the served index's IVF probe width
@@ -960,12 +941,6 @@ mod tests {
         }
         fn add_batch(&mut self, flat: &[f32]) {
             AnnIndex::add_batch(&mut self.inner, flat)
-        }
-        fn refresh(&mut self, data: &[f32], changed: &[u32]) -> bool {
-            self.inner.refresh(data, changed)
-        }
-        fn can_refresh(&self) -> bool {
-            true
         }
         fn search(&self, query: &[f32], k: usize) -> Vec<Hit> {
             self.queries_scanned.fetch_add(1, Ordering::SeqCst);
@@ -1278,40 +1253,6 @@ mod tests {
         let wrong = Box::new(flat(50, 6, 24));
         assert!(matches!(svc.install_index(wrong), Err(ServeError::BadRequest(_))));
         assert_eq!(svc.generation(), 0, "a rejected install must not bump the generation");
-    }
-
-    #[test]
-    fn refresh_invalidates_the_cache_and_serves_the_new_rows() {
-        let dim = 4;
-        let mut rows: Vec<f32> = vec![0.0; 10 * dim];
-        for (i, r) in rows.chunks_mut(dim).enumerate() {
-            r[0] = i as f32;
-        }
-        let mut ix = FlatIndex::new(dim, Metric::L2);
-        ix.add_batch(&rows);
-        let (svc, _clock) = manual_service(Box::new(ix), 16);
-        let q = vec![0.25f32, 0.0, 0.0, 0.0];
-        let t = svc.submit(q.clone(), 1, None).unwrap();
-        svc.pump();
-        assert_eq!(t.wait().unwrap().hits[0].id, 0);
-
-        // Overwrite row 3 to sit exactly on the query point.
-        rows[3 * dim] = 0.25;
-        assert!(svc.refresh(&rows, &[3]));
-        assert_eq!(svc.generation(), 1, "an applied refresh bumps the generation");
-        let t = svc.submit(q.clone(), 1, None).unwrap();
-        svc.pump();
-        let hit = t.wait().unwrap().hits[0];
-        assert_eq!((hit.id, hit.distance), (3, 0.0), "the refreshed row must be served");
-
-        // A no-op refresh (nothing changed, nothing appended) must not
-        // invalidate the cache.
-        assert!(svc.refresh(&rows, &[]));
-        assert_eq!(svc.generation(), 1, "a no-op refresh leaves the generation alone");
-        let t = svc.submit(q, 1, None).unwrap();
-        svc.pump();
-        assert!(t.wait().is_ok());
-        assert_eq!(svc.stats().hits, 1, "the cached entry survived the no-op refresh");
     }
 
     #[test]

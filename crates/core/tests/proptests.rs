@@ -1,7 +1,7 @@
 //! Property-based tests for evaluation metrics, selection invariants,
 //! and the persistent retrieval engine.
 
-use dial_ann::IndexSpec;
+use dial_ann::{HnswParams, IndexSpec, IvfParams, PqParams};
 use dial_core::{
     entropy, index_by_committee, select, Candidate, Prf, RetrievalEngine, SelectionInputs,
     SelectionStrategy,
@@ -78,32 +78,92 @@ proptest! {
     fn incremental_refresh_at_drift_zero_is_bit_identical_to_rebuild(
         vr_raw in proptest::collection::vec(-2.0f32..2.0, 2 * 30 * 4),
         vs_raw in proptest::collection::vec(-2.0f32..2.0, 2 * 18 * 4),
+        tail_raw in proptest::collection::vec(-2.0f32..2.0, 2 * 5 * 4),
         k in 1usize..5,
         depth in 0usize..3,
-        shards in 1usize..4,
+        family in 0usize..5,
+        shards in 2usize..4,
+        mutation in 0usize..3,
+        permissive in 0usize..2,
+        row in 0usize..30,
     ) {
-        // The tentpole exactness guarantee: retrieving twice with
-        // unchanged committee views — the second round taking the
-        // incremental refresh path (drift = 0) — must yield a
-        // CandidateSet bit-identical to the from-scratch rebuild, across
-        // pipeline depths and shard counts.
+        // The tentpole exactness guarantee: whatever the family, the
+        // second-round mutation (none, one overwritten row, appended
+        // rows) and the threshold, the second retrieval — index kept,
+        // refreshed in place, or rebuilt — must yield a CandidateSet
+        // bit-identical to a from-scratch index_by_committee, across
+        // pipeline depths.
         let dim = 4;
         let views_r: Vec<Vec<f32>> = vr_raw.chunks(30 * dim).map(<[f32]>::to_vec).collect();
         let views_s: Vec<Vec<f32>> = vs_raw.chunks(18 * dim).map(<[f32]>::to_vec).collect();
-        let spec = if shards > 1 { IndexSpec::Flat.sharded(shards) } else { IndexSpec::Flat };
+        let spec = family_spec(family, shards);
+        let threshold = if permissive == 1 { f64::MAX } else { 0.0 };
 
-        let mut engine = RetrievalEngine::new(spec.clone(), 0.0, depth);
-        let rebuilt = engine.retrieve_committee(&views_r, &views_s, dim, k, 400);
+        let mut engine = RetrievalEngine::new(spec.clone(), threshold, depth);
+        let first = engine.retrieve_committee(&views_r, &views_s, dim, k, 400);
         prop_assert_eq!(engine.last_round().incremental_members, 0);
-        let refreshed = engine.retrieve_committee(&views_r, &views_s, dim, k, 400);
-        prop_assert_eq!(
-            engine.last_round().incremental_members, 2,
-            "drift 0 must take the incremental path"
-        );
-        prop_assert_eq!(rebuilt.pairs(), refreshed.pairs());
-        // And both equal the stateless reference implementation.
         let reference = index_by_committee(&views_r, &views_s, dim, k, 400, &spec);
-        prop_assert_eq!(refreshed.pairs(), reference.pairs());
+        prop_assert_eq!(first.pairs(), reference.pairs());
+
+        let mut next = views_r.clone();
+        match mutation {
+            0 => {}
+            1 => next.iter_mut().for_each(|v| v[row * dim] += 0.5),
+            _ => next.iter_mut().zip(tail_raw.chunks(5 * dim)).for_each(|(v, t)| v.extend_from_slice(t)),
+        }
+        let second = engine.retrieve_committee(&next, &views_s, dim, k, 400);
+        // Unchanged rows keep every family's index; only the flat
+        // families refresh changed rows (appends at any threshold,
+        // overwrites under a positive one); everything else rebuilds.
+        let flat_family = matches!(spec, IndexSpec::Flat | IndexSpec::Sharded { .. });
+        let kept = mutation == 0 || (flat_family && (mutation == 2 || permissive == 1));
+        prop_assert_eq!(engine.last_round().incremental_members, if kept { 2 } else { 0 });
+        let reference = index_by_committee(&next, &views_s, dim, k, 400, &spec);
+        prop_assert_eq!(second.pairs(), reference.pairs(), "{} mutation {}", spec.name(), mutation);
+    }
+}
+
+/// The engine-exactness proptest's families: Flat, IVF, PQ, HNSW, and
+/// Flat sharded `shards` ways.
+fn family_spec(family: usize, shards: usize) -> IndexSpec {
+    match family {
+        0 => IndexSpec::Flat,
+        1 => IndexSpec::IvfFlat(IvfParams { nlist: 4, nprobe: 2, ..Default::default() }),
+        2 => IndexSpec::Pq(PqParams { m: 2, nbits: 4, seed: 0 }),
+        3 => IndexSpec::Hnsw(HnswParams::default()),
+        _ => IndexSpec::Flat.sharded(shards),
+    }
+}
+
+/// Pinned cases of the proptest above that an in-place refresh of a
+/// trained family gets wrong: an IVF row overwritten far from its list
+/// under a permissive threshold (re-assigned against the stale
+/// quantizer), and PQ rows appended at the default threshold (encoded
+/// against codebooks trained on the old rows). Both must retrieve
+/// exactly like a fresh build.
+#[test]
+fn trained_family_second_rounds_match_a_fresh_build_exactly() {
+    let dim = 4;
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut view = |n: usize| -> Vec<Vec<f32>> {
+        (0..2).map(|_| (0..n * dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect()).collect()
+    };
+    let (views_r, views_s, tail) = (view(30), view(18), view(5));
+    let mut overwritten = views_r.clone();
+    for v in &mut overwritten {
+        v[..dim].copy_from_slice(&[9.0, -9.0, 9.0, -9.0]);
+    }
+    let mut appended = views_r.clone();
+    for (v, t) in appended.iter_mut().zip(&tail) {
+        v.extend_from_slice(t);
+    }
+    for (family, threshold, next) in [(1, f64::MAX, &overwritten), (2, 0.0, &appended)] {
+        let spec = family_spec(family, 1);
+        let mut engine = RetrievalEngine::new(spec.clone(), threshold, 0);
+        engine.retrieve_committee(&views_r, &views_s, dim, 3, 400);
+        let got = engine.retrieve_committee(next, &views_s, dim, 3, 400);
+        let want = index_by_committee(next, &views_s, dim, 3, 400, &spec);
+        assert_eq!(got.pairs(), want.pairs(), "{}", spec.name());
     }
 }
 
